@@ -20,8 +20,17 @@ merge` (each shard is non-pristine on exactly one side).  The merged
 result's :meth:`state` **equals** a single-process ingest's, enforced
 by the parallel test suite.
 
+**One wait.**  Every parent-side loop (feeding, end-of-stream, replay,
+snapshot and control-reply waits, and a zero-timeout sweep per chunk)
+blocks in a single ``multiprocessing.connection.wait`` over each live
+worker's pipe and process sentinel, plus the "slot freed" pipe of the
+ring it needs room in.  Snapshots are read the moment a worker starts
+sending them, so a worker never stays blocked in ``send`` while the
+parent waits on its ring, and a dead worker is failed over as soon as
+its sentinel fires.
+
 **Self-healing.**  Worker death is detected by the parent (process
-liveness plus ring-progress stall detection — a hung worker is not a
+sentinels plus ring-progress stall detection — a hung worker is not a
 dead worker, but both are failed over).  Workers snapshot their group
 over a pipe every ``sync_every`` chunks (each snapshot carries a
 content digest, so a corrupted snapshot is *rejected* and the retained
@@ -65,8 +74,9 @@ filter's :class:`~repro.runtime.adaptive.AdaptiveController`.
 slow consumer exerts natural backpressure on the parent.  The parent
 distinguishes *no progress* (stall → typed
 :class:`~repro.errors.WorkerStalledError`, failover) from *slow
-progress* (keep waiting).  With ``load_shed=True`` a stalled ring
-sheds the overflowing share to the parent's
+progress* (keep waiting).  "Stalled" is a per-worker state: with
+``load_shed=True`` every share for a stalled worker is shed at once,
+until its ring moves again, to the parent's
 :class:`~repro.runtime.reliability.DeadLetterQueue` instead of failing
 the worker — **this trades away both bit-identity and the one-sided
 guarantee for the shed keys** until the dead letters are replayed;
@@ -86,12 +96,16 @@ liveness, failures, respawns (``worker_respawns_total``), stalls
 (``parallel_worker_stalls_total``), migrations
 (``reshard_migrations_total``), shed chunks
 (``load_shed_chunks_total``), snapshot rejects
-(``parallel_snapshot_rejects_total``) and merge latency; trace points
+(``parallel_snapshot_rejects_total``), merge latency, time blocked per
+worker (``parallel_producer_blocked_seconds``) and worker start-up
+(``parallel_worker_boot_seconds``); trace points
 (``worker_respawn``, ``worker_healed``, ``worker_stalled``,
 ``reshard_migration``, ``load_shed``, ``snapshot_reject``) mark every
 lifecycle transition.  Each worker runs its own registry and forwards
 counter/gauge values over its pipe, which the parent re-labels with
-``worker=<id>`` and folds into the installed registry.
+``worker=<id>`` and folds into the installed registry — including the
+snapshot pipe's cost (``worker_snapshot_send_seconds``,
+``worker_snapshot_bytes``).
 """
 
 from __future__ import annotations
@@ -107,6 +121,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
+from multiprocessing.connection import wait as wait_ready
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -174,6 +190,7 @@ class RingHandle:
     slot_capacity: int
     sem_free: Any
     sem_filled: Any
+    freed: Any
 
 
 class ChunkRing:
@@ -190,6 +207,12 @@ class ChunkRing:
     preceding stores), so the consumer never observes a slot before its
     payload.  ``get`` copies the payload out and frees the slot
     immediately, maximising producer/consumer overlap.
+
+    A ``get`` that leaves the ring at most half full also writes one
+    byte to a "slot freed" pipe (:attr:`freed`), so a producer can wait
+    for room inside ``multiprocessing.connection.wait``, woken once per
+    half ring rather than per slot.  The write is non-blocking: a full
+    pipe is already readable, so the consumer never waits on it.
 
     The parent creates rings (``ChunkRing(slots, slot_capacity)``) and
     owns the segment lifecycle (:meth:`unlink`); workers attach via
@@ -219,6 +242,8 @@ class ChunkRing:
             self.slot_capacity = int(slot_capacity)
             self._sem_free = ctx.Semaphore(self.slots)
             self._sem_filled = ctx.Semaphore(0)
+            self._freed_reader, self._freed_writer = ctx.Pipe(duplex=False)
+            os.set_blocking(self._freed_reader.fileno(), False)
             self._owner = True
         else:
             # Attach without registering with the resource tracker: the
@@ -242,7 +267,10 @@ class ChunkRing:
             self.slot_capacity = int(_handle.slot_capacity)
             self._sem_free = _handle.sem_free
             self._sem_filled = _handle.sem_filled
+            self._freed_reader = None
+            self._freed_writer = _handle.freed
             self._owner = False
+        os.set_blocking(self._freed_writer.fileno(), False)
         buf = self._shm.buf
         self._header = np.ndarray((_HDR_WORDS,), dtype=np.int64, buffer=buf)
         self._lengths = np.ndarray(
@@ -273,6 +301,7 @@ class ChunkRing:
             slot_capacity=self.slot_capacity,
             sem_free=self._sem_free,
             sem_filled=self._sem_filled,
+            freed=self._freed_writer,
         )
 
     @classmethod
@@ -328,12 +357,16 @@ class ChunkRing:
         slot = self._get_cursor % self.slots
         n = int(self._lengths[slot])
         self._get_cursor += 1
-        self._header[_HDR_CONSUMED] = self._get_cursor
-        if n == _EOF:
-            self._sem_free.release()
-            return None
-        chunk = self._data[slot, :n].copy()
+        chunk = None if n == _EOF else self._data[slot, :n].copy()
         self._sem_free.release()
+        # Published after the release: a producer that reads
+        # ``depth() < slots`` is guaranteed a free permit.
+        self._header[_HDR_CONSUMED] = self._get_cursor
+        if self.depth() <= self.slots // 2:
+            try:
+                os.write(self._freed_writer.fileno(), b"\0")
+            except OSError:
+                pass  # pipe full (already readable) or reader gone
         return chunk
 
     # -- shared ------------------------------------------------------------
@@ -355,8 +388,25 @@ class ChunkRing:
         """Total items published so far."""
         return int(self._header[_HDR_ITEMS])
 
+    @property
+    def freed(self):
+        """The readable end of the "slot freed" pipe (creator only): a
+        ``multiprocessing.connection.wait`` object that turns ready once
+        the consumer has drained the ring to half full."""
+        return self._freed_reader
+
+    def clear_freed(self) -> None:
+        """Discard pending "slot freed" bytes (creator only)."""
+        try:
+            os.read(self._freed_reader.fileno(), 1 << 16)
+        except BlockingIOError:
+            pass
+
     def close(self) -> None:
         """Drop this process's mapping (views first, then the segment)."""
+        for end in (self._freed_reader, self._freed_writer):
+            if end is not None:
+                end.close()
         self._header = None  # type: ignore[assignment]
         self._lengths = None  # type: ignore[assignment]
         self._data = None  # type: ignore[assignment]
@@ -535,6 +585,9 @@ def _worker_main(
     dead_letters = DeadLetterQueue(capacity=64)
     snapshots_sent = 0
     sync_target: int | None = None
+    # Boot marker: the parent reads it whenever it next drains this
+    # pipe (it never waits for it) and records the start-up latency.
+    conn.send(("ready",))
 
     def send_snapshot(tag: str = "snapshot") -> None:
         nonlocal snapshots_sent
@@ -555,7 +608,7 @@ def _worker_main(
                     corrupted.reshape(-1)[0] += 1
                     state.arrays[name] = corrupted
                     break
-        conn.send(
+        payload = ForkingPickler.dumps(
             (
                 tag,
                 int(chunks_done),
@@ -565,6 +618,12 @@ def _worker_main(
                 _export_metrics(registry),
             )
         )
+        start = time.perf_counter()
+        conn.send_bytes(payload)
+        registry.counter("worker_snapshot_send_seconds").inc(
+            time.perf_counter() - start
+        )
+        registry.counter("worker_snapshot_bytes").inc(len(payload))
 
     def handle_control() -> None:
         nonlocal sync_target
@@ -651,7 +710,8 @@ def _worker_main(
             handle_control()
         if not source.orphaned:
             send_snapshot()
-            conn.send(("done", int(chunks_done), int(items_done)))
+            conn.send(("done", int(chunks_done), int(items_done),
+                       _export_metrics(registry)))
     except Exception as error:  # surface, then die visibly
         try:
             conn.send(("error", f"{type(error).__name__}: {error}"))
@@ -694,6 +754,20 @@ class _WorkerSlot:
     #: While healing: the chunk count a replacement's snapshot must
     #: reach before the worker's shards flip back to healthy.
     heal_target: int | None = None
+    #: ``perf_counter`` at process start (boot latency reference).
+    launched_at: float = 0.0
+    #: Stall clock: the ring's ``consumed()`` last seen, and the
+    #: monotonic time the worker last made progress or the parent last
+    #: found its ring with room.  Kept across calls, so a stalled
+    #: worker stays stalled until it moves again.
+    progress_mark: int = 0
+    progress_at: float = field(default_factory=time.monotonic)
+    #: A replacement is being replayed into: the wait leaves its
+    #: failover to the replay loop.
+    replaying: bool = False
+    #: The control-reply tag a caller waits for, and the reply once read.
+    awaiting: str | None = None
+    reply: tuple | None = None
 
     @property
     def feeding_ring(self) -> bool:
@@ -754,9 +828,11 @@ class ParallelIngestRuntime:
         Parent-side dead-letter queue capacity (shed shares and
         worker-quarantined payloads).
     stall_timeout:
-        Seconds without any ring progress before a worker counts as
-        stalled (default: ``put_timeout``).  Progress resets the clock:
-        slow workers are waited on, hung workers are not.
+        Seconds a worker may keep its ring full without progress before
+        it counts as stalled (default: ``put_timeout``).  Progress — the
+        ring's ``consumed()`` advancing, or any message from the worker
+        — resets the clock: slow workers are waited on, hung workers are
+        not.  The clock lives on the worker, not on one publish.
     standby_hashes, standby_bytes:
         Standby sizing, forwarded to :class:`ShardSupervisor`.
     fault_plan:
@@ -979,6 +1055,7 @@ class ParallelIngestRuntime:
         return process, parent_conn, ring
 
     def _start_workers(self) -> None:
+        registry = current_registry()
         with self._pinned_pythonpath():
             for index in range(self.workers):
                 process, conn, ring = self._launch(
@@ -987,8 +1064,15 @@ class ParallelIngestRuntime:
                 self._slots.append(
                     _WorkerSlot(
                         index=index, process=process, ring=ring, conn=conn,
+                        launched_at=time.perf_counter(),
                     )
                 )
+                if registry is not None:
+                    # Every worker gets a series, blocked or not.
+                    registry.histogram(
+                        "parallel_producer_blocked_seconds",
+                        worker=str(index),
+                    )
 
     def _shutdown(self) -> None:
         for slot in self._slots:
@@ -1071,46 +1155,101 @@ class ParallelIngestRuntime:
             self.dead_letters.quarantine(
                 int(position), payload, f"worker {slot.index}: {reason}"
             )
+        elif tag == "ready":
+            registry = current_registry()
+            if registry is not None:
+                registry.histogram(
+                    "parallel_worker_boot_seconds", worker=str(slot.index)
+                ).observe(time.perf_counter() - slot.launched_at)
         elif tag == "done":
             slot.done = True
+            self._apply_worker_metrics(slot, message[3])
         elif tag == "error":
             slot.error = str(message[1])
 
     def _drain_messages(self, slot: _WorkerSlot) -> None:
+        """Handle everything in one worker's pipe; any message counts as
+        progress, and the reply a caller awaits is kept for it."""
         try:
             while slot.conn.poll():
-                self._handle_message(slot, slot.conn.recv())
+                message = slot.conn.recv()
+                slot.progress_at = time.monotonic()
+                if message[0] == slot.awaiting:
+                    slot.reply = message
+                self._handle_message(slot, message)
         except (EOFError, OSError):
-            pass  # pipe gone; liveness check deals with the process
+            pass  # pipe gone; the process sentinel reports the death
 
-    def _drain_all_messages(
-        self, exclude: _WorkerSlot | None = None
-    ) -> None:
-        """Drain every live worker's pipe.
+    def _wait(
+        self,
+        timeout: float,
+        blocked_on: _WorkerSlot | None = None,
+        *,
+        room: bool = False,
+    ) -> bool:
+        """The parent's one readiness wait; True if a worker failed over.
 
-        A snapshot can exceed the pipe buffer, so a worker may *block in
-        send* until the parent reads — any parent-side wait loop must
-        keep draining all pipes or two blocked sides deadlock (worker
-        stuck in send, parent stuck waiting for that worker's ring).
-        ``exclude`` protects a pipe another loop is reading selectively
-        (see :meth:`_await_message`).
+        Blocks for at most ``timeout`` seconds on every ring-fed
+        worker's pipe and process sentinel (plus, with ``room``, the
+        "slot freed" pipe of ``blocked_on``'s ring), then handles
+        messages, clears freed-slot bytes and fails over exited
+        workers.  ``timeout=0`` is the per-chunk sweep.  Time blocked on
+        behalf of ``blocked_on`` goes to
+        ``parallel_producer_blocked_seconds{worker}``.
         """
+        watched: dict[Any, tuple[_WorkerSlot, Any]] = {}
         for slot in self._slots:
-            if slot.feeding_ring and slot is not exclude:
-                self._drain_messages(slot)
-
-    def _check_liveness(self) -> None:
-        for slot in self._slots:
+            if not slot.feeding_ring or slot.done:
+                continue
+            if (
+                slot.replaying
+                and slot is not blocked_on
+                and slot.process.exitcode is not None
+            ):
+                continue  # its own replay loop handles the death
+            watched[slot.conn] = (slot, slot.conn)
+            watched[slot.process.sentinel] = (slot, slot.process)
+            if room and slot is blocked_on:
+                watched[slot.ring.freed] = (slot, slot.ring)
+        start = time.perf_counter()
+        ready = wait_ready(list(watched), max(0.0, timeout))
+        registry = current_registry()
+        if blocked_on is not None and registry is not None and timeout:
+            registry.histogram(
+                "parallel_producer_blocked_seconds",
+                worker=str(blocked_on.index),
+            ).observe(time.perf_counter() - start)
+        failed_over = False
+        for obj in ready:
+            slot, owner = watched[obj]
             if not slot.feeding_ring:
-                continue
-            self._drain_messages(slot)
-            if slot.process.is_alive() or slot.done:
-                continue
-            self._fail_worker(
-                slot,
-                f"worker {slot.index} died "
-                f"(exitcode {slot.process.exitcode})",
-            )
+                continue  # failed over while serving an earlier object
+            if owner is slot.conn:
+                self._drain_messages(slot)
+            elif owner is slot.ring:
+                slot.ring.clear_freed()
+            elif owner is slot.process:
+                self._drain_messages(slot)  # a clean exit says "done" first
+                if not (slot.replaying or slot.done):
+                    self._fail_dead(slot)
+                    failed_over = True
+        return failed_over
+
+    def _fail_dead(self, slot: _WorkerSlot) -> None:
+        self._fail_worker(
+            slot,
+            f"worker {slot.index} died (exitcode {slot.process.exitcode})",
+        )
+
+    def _stalled_for(self, slot: _WorkerSlot) -> float:
+        """Seconds since the worker last made progress (see
+        :attr:`_WorkerSlot.progress_at`)."""
+        now = time.monotonic()
+        consumed = slot.ring.consumed()
+        if consumed != slot.progress_mark:
+            slot.progress_mark = consumed
+            slot.progress_at = now
+        return now - slot.progress_at
 
     # -- failover ----------------------------------------------------------
 
@@ -1277,13 +1416,21 @@ class ParallelIngestRuntime:
         slot.process = process
         slot.conn = conn
         slot.ring = ring
+        slot.launched_at = time.perf_counter()
+        slot.progress_mark = 0
+        slot.progress_at = time.monotonic()
         slot.metrics_last = {}
         slot.done = False
         slot.error = None
         slot.heal_target = slot.sent_chunks
-        for share in slot.retained:
-            if not self._replay_into(slot, share):
-                return False
+        slot.replaying = True
+        try:
+            # A copy: snapshots arriving mid-replay prune the tail.
+            for share in list(slot.retained):
+                if not self._replay_into(slot, share):
+                    return False
+        finally:
+            slot.replaying = False
         try:
             # Ask for a snapshot at the caught-up position: its arrival
             # completes the healing cycle.
@@ -1293,59 +1440,57 @@ class ParallelIngestRuntime:
         return True
 
     def _replay_into(self, slot: _WorkerSlot, share: np.ndarray) -> bool:
-        """Feed one retained share to a replacement's fresh ring."""
+        """Feed one retained share to a replacement's fresh ring; False
+        when the replacement dies or takes no share within
+        ``put_timeout``."""
+        ring = slot.ring
         deadline = time.monotonic() + self.put_timeout
-        while not slot.ring.put(share, timeout=0.25):
-            self._drain_all_messages()
-            if not slot.process.is_alive():
+        while ring.depth() >= ring.slots:
+            remaining = deadline - time.monotonic()
+            if slot.process.exitcode is not None or remaining <= 0:
                 return False
-            if time.monotonic() > deadline:
-                return False
-        return True
+            self._wait(remaining, slot, room=True)
+        return ring.put(share, timeout=self.put_timeout)
 
     # -- backpressure / feeding --------------------------------------------
 
-    def _put_with_failover(self, slot: _WorkerSlot, put, *, sheddable):
-        """Drive one ring publish under backpressure.
+    def _publish(
+        self, slot: _WorkerSlot, share: np.ndarray | None, *, sheddable
+    ) -> str:
+        """Publish one share (``None``: end of stream) under backpressure.
 
-        ``put(timeout)`` is retried while draining pipes.  Outcomes:
-        ``"ok"`` (published), ``"shed"`` (stalled and load-shedding is
-        on), ``"rerouted"`` (the worker was failed over — the slot is
-        now respawned/inlined/failed and the caller must re-dispatch).
-        Progress on the ring (``consumed()`` advancing) resets the
-        stall clock: a slow worker is waited on indefinitely, only a
-        worker making *no* progress within ``stall_timeout`` is
-        declared stalled.
+        Outcomes: ``"ok"`` (published), ``"shed"`` (stalled and
+        load-shedding is on), ``"rerouted"`` (the worker was failed over
+        — the slot is now respawned/inlined/failed and the caller must
+        re-dispatch).  ``ChunkRing.put`` runs only once ``depth()``
+        shows a free slot.  A worker whose ring stays full with no
+        progress for ``stall_timeout`` is stalled; the stall clock lives
+        on the slot, so under load-shedding every later share to a
+        stalled worker is shed at once until its ring moves again.
         """
         budget = (
             self.stall_timeout
             if self.stall_timeout is not None
             else self.put_timeout
         )
-        last_progress = time.monotonic()
-        progressed = slot.ring.consumed()
-        while True:
-            if put(0.25):
-                return "ok"
-            self._drain_all_messages()
-            if not slot.process.is_alive():
-                self._fail_worker(
-                    slot,
-                    f"worker {slot.index} died "
-                    f"(exitcode {slot.process.exitcode})",
-                )
-                return "rerouted"
-            now = time.monotonic()
-            consumed = slot.ring.consumed()
-            if consumed > progressed:
-                progressed = consumed
-                last_progress = now
-            waited = now - last_progress
+        ring = slot.ring
+        while slot.ring is ring and slot.feeding_ring:
+            if ring.depth() < ring.slots:
+                if share is None:
+                    published = ring.close_producer(timeout=budget)
+                else:
+                    published = ring.put(share, timeout=budget)
+                if published:
+                    slot.progress_at = time.monotonic()
+                    return "ok"
+            waited = self._stalled_for(slot)
             if waited > budget:
                 if sheddable and self.load_shed:
                     return "shed"
                 self._stall(slot, waited, "ring")
-                return "rerouted"
+                break
+            self._wait(budget - waited, slot, room=True)
+        return "rerouted"
 
     def _shed(self, slot: _WorkerSlot, share: np.ndarray) -> None:
         """Quarantine an overflowing share instead of blocking/failing.
@@ -1382,11 +1527,7 @@ class ParallelIngestRuntime:
                 assert self.supervisor is not None
                 self.supervisor.process_batch(share)
             return
-        outcome = self._put_with_failover(
-            slot,
-            lambda timeout: slot.ring.put(share, timeout=timeout),
-            sheddable=True,
-        )
+        outcome = self._publish(slot, share, sheddable=True)
         if outcome == "ok":
             slot.sent_chunks += 1
             slot.sent_items += int(share.shape[0])
@@ -1476,7 +1617,7 @@ class ParallelIngestRuntime:
                 self.stats.tuples_ingested += int(chunk.shape[0])
                 self.stats.chunks_ingested += 1
                 chunks_since_checkpoint += 1
-                self._check_liveness()
+                self._wait(0)
                 if controller is not None:
                     controller.observe(self.stats.chunks_ingested)
                 if registry is not None:
@@ -1549,67 +1690,43 @@ class ParallelIngestRuntime:
             ]
             if not waiting:
                 return
-            self._drain_all_messages()
-            failed_over = False
-            for slot in waiting:
-                if (
-                    slot.snapshot_chunks < target_of(slot)
-                    and not slot.process.is_alive()
-                ):
-                    self._fail_worker(
-                        slot,
-                        f"worker {slot.index} died "
-                        f"(exitcode {slot.process.exitcode})",
-                    )
-                    failed_over = True
-            if failed_over:
-                deadline = time.monotonic() + self.drain_timeout
-                continue
-            if time.monotonic() > deadline:
+            # Exited after a final snapshot that was rejected.
+            exited = [slot for slot in waiting if slot.done]
+            for slot in exited:
+                self._fail_dead(slot)
+            remaining = deadline - time.monotonic()
+            if not exited and remaining <= 0:
                 for slot in waiting:
                     if slot.feeding_ring:
                         self._stall(slot, self.drain_timeout, "snapshot")
-                deadline = time.monotonic() + self.drain_timeout
+            elif not exited and not self._wait(remaining, waiting[0]):
                 continue
-            time.sleep(0.005)
+            deadline = time.monotonic() + self.drain_timeout
 
     def _await_message(
         self, slot: _WorkerSlot, tag: str, timeout: float
     ):
         """Wait for one specific control reply from one worker.
 
-        Other messages from the same worker are handled inline; other
-        workers' pipes are kept drained (deadlock avoidance).  Returns
-        the matching message, or ``None`` after failing the worker over
-        (death or stall) — the caller re-examines ``slot.status`` and
-        adapts.
+        Every message is handled as it arrives.  Returns the matching
+        message, or ``None`` after the worker was failed over (death or
+        stall) — the caller re-examines ``slot.status`` and adapts.
         """
+        ring = slot.ring
         deadline = time.monotonic() + timeout
-        while True:
-            try:
-                if slot.conn.poll(0.02):
-                    message = slot.conn.recv()
-                    if (
-                        isinstance(message, tuple)
-                        and message
-                        and message[0] == tag
-                    ):
-                        return message
-                    self._handle_message(slot, message)
-                    continue
-            except (EOFError, OSError):
-                pass
-            self._drain_all_messages(exclude=slot)
-            if not slot.process.is_alive():
-                self._fail_worker(
-                    slot,
-                    f"worker {slot.index} died "
-                    f"(exitcode {slot.process.exitcode})",
-                )
-                return None
-            if time.monotonic() > deadline:
-                self._stall(slot, timeout, tag)
-                return None
+        slot.awaiting, slot.reply = tag, None
+        try:
+            while slot.reply is None:
+                if slot.ring is not ring or not slot.feeding_ring:
+                    return None
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    self._stall(slot, timeout, tag)
+                    return None
+                self._wait(remaining, slot)
+            return slot.reply
+        finally:
+            slot.awaiting = slot.reply = None
 
     def _quiesce(self) -> None:
         """Sync every ring-fed worker to its sent position.
@@ -1632,14 +1749,7 @@ class ParallelIngestRuntime:
         assert self.supervisor is not None
         for slot in self._slots:
             while slot.feeding_ring:
-                outcome = self._put_with_failover(
-                    slot,
-                    lambda timeout, slot=slot: slot.ring.close_producer(
-                        timeout=timeout
-                    ),
-                    sheddable=False,
-                )
-                if outcome == "ok":
+                if self._publish(slot, None, sheddable=False) == "ok":
                     break
                 # rerouted: a respawned slot has a fresh ring that
                 # still needs its EOF; an inlined/failed slot exits
@@ -1826,8 +1936,7 @@ class ParallelIngestRuntime:
                 slot.conn.send(("migrate_in", {int(shard): state}))
             except (OSError, BrokenPipeError):
                 pass
-            reply = self._await_message(slot, "adopted", self.drain_timeout)
-            if reply is None:
+            if self._await_message(slot, "adopted", self.drain_timeout) is None:
                 # Destination died or stalled mid-install.  If it never
                 # adopted, its replacement restores a pre-install
                 # snapshot and the retry installs cleanly; if it had
@@ -1836,7 +1945,6 @@ class ParallelIngestRuntime:
                 # IS the post-install snapshot), so the retry cannot
                 # double-install.
                 continue
-            self._handle_message(slot, reply)
             return
 
     def _commit_export(
@@ -1862,12 +1970,10 @@ class ParallelIngestRuntime:
                 slot.conn.send(("migrate_commit", list(shard_list)))
             except (OSError, BrokenPipeError):
                 pass
-            reply = self._await_message(
+            if self._await_message(
                 slot, "migrate_committed", self.drain_timeout
-            )
-            if reply is None:
+            ) is None:
                 continue  # tier change or respawn (pre-commit state): retry
-            self._handle_message(slot, reply)
             return
         # The worker still owns live copies of handed-off shards: force
         # it off the ring tier (the failover strips the pending exports).

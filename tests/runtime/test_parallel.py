@@ -9,6 +9,8 @@ when exercised across actual process boundaries.
 from __future__ import annotations
 
 import glob
+import pickle
+import time
 
 import numpy as np
 import pytest
@@ -280,6 +282,37 @@ class TestObservability:
         finally:
             uninstall_registry()
 
+    def test_convoy_layers_exported_per_worker(self, stream):
+        registry = install_registry()
+        try:
+            runtime = ParallelIngestRuntime(
+                2, shards=4, sync_every=2, **GROUP_PARAMS
+            )
+            runtime.run(chunks_of(stream))
+            state_bytes = len(pickle.dumps(runtime.supervisor.group.state()))
+            for worker in ("0", "1"):
+                assert (
+                    registry.get(
+                        "parallel_producer_blocked_seconds", worker=worker
+                    )
+                    is not None
+                )
+                boot = registry.get(
+                    "parallel_worker_boot_seconds", worker=worker
+                )
+                assert boot is not None and boot.count == 1 and boot.sum > 0
+                assert (
+                    registry.value("worker_snapshot_send_seconds", worker=worker)
+                    > 0
+                )
+                # At least one full-group snapshot crossed the pipe.
+                assert (
+                    registry.value("worker_snapshot_bytes", worker=worker)
+                    >= state_bytes
+                )
+        finally:
+            uninstall_registry()
+
     def test_failure_counter_increments(self, stream):
         registry = install_registry()
         try:
@@ -299,6 +332,34 @@ class TestObservability:
             )
         finally:
             uninstall_registry()
+
+
+class TestSnapshotConvoy:
+    def test_large_snapshots_never_fail_a_put(self, stream, monkeypatch):
+        # A snapshot larger than the 64 KB pipe buffer blocks the worker
+        # in send until the parent reads it.  The parent must read pipes
+        # while it waits for ring room, so a healthy run never sees a
+        # put give up on a full ring.
+        params = {"shards": 4, **GROUP_PARAMS}
+        assert len(pickle.dumps(ShardedASketch(**params).state())) > 1 << 16
+        failed_puts = []
+        original_put = ChunkRing.put
+
+        def spy_put(ring, chunk, timeout=None):
+            published = original_put(ring, chunk, timeout)
+            if not published:
+                failed_puts.append(timeout)
+            return published
+
+        monkeypatch.setattr(ChunkRing, "put", spy_put)
+        runtime = ParallelIngestRuntime(
+            2, sync_every=1, slots=2, **params
+        )
+        runtime.run(chunks_of(stream, 1_000))
+        assert failed_puts == []
+        assert runtime.stall_count == 0
+        sequential = sequential_group(stream, shards=4, chunk_size=1_000)
+        assert runtime.supervisor.group.state().equals(sequential.state())
 
 
 class TestCheckpointing:
@@ -535,6 +596,20 @@ class TestStallDetection:
             uninstall_registry()
 
 
+#: Wall-time bound on a load-shedding run.  "Stalled" is a per-worker
+#: state, so only the first share to a hung worker waits the 1 s stall
+#: budget and every later one is shed at once (a run measures ~1.6 s).
+SHED_RUN_SECONDS = 8.0
+
+
+def timed_run(runtime, chunks):
+    start = time.perf_counter()
+    stats = runtime.run(chunks)
+    elapsed = time.perf_counter() - start
+    assert elapsed < SHED_RUN_SECONDS, f"load-shed run took {elapsed:.1f}s"
+    return stats
+
+
 class TestLoadShedding:
     def test_shed_instead_of_failover(self, stream):
         runtime = ParallelIngestRuntime(
@@ -547,7 +622,7 @@ class TestLoadShedding:
             fault_plan=FaultPlan(worker_hang={1: 2}),
             **GROUP_PARAMS,
         )
-        stats = runtime.run(chunks_of(stream, 1_000))
+        stats = timed_run(runtime, chunks_of(stream, 1_000))
         assert stats.chunks_ingested == len(chunks_of(stream, 1_000))
         assert runtime.shed_chunks >= 1
         # Shed shares sit in the parent dead-letter queue with their
@@ -572,7 +647,7 @@ class TestLoadShedding:
             fault_plan=FaultPlan(worker_hang={1: 2}),
             **GROUP_PARAMS,
         )
-        runtime.run(chunks_of(stream, 1_000))
+        timed_run(runtime, chunks_of(stream, 1_000))
         assert runtime.shed_chunks >= 1
         for letter in runtime.dead_letters.letters:
             runtime.supervisor.group.process_batch(letter.payload)
@@ -592,7 +667,7 @@ class TestLoadShedding:
                 fault_plan=FaultPlan(worker_hang={1: 2}),
                 **GROUP_PARAMS,
             )
-            runtime.run(chunks_of(stream, 1_000))
+            timed_run(runtime, chunks_of(stream, 1_000))
             assert (
                 registry.value("load_shed_chunks_total", worker="1") >= 1
             )
