@@ -38,6 +38,7 @@ import numpy as np
 from repro.core.filters import Filter, make_filter
 from repro.errors import ConfigurationError, NegativeCountError
 from repro.hardware.costs import OpCounters
+from repro.hashing.families import as_key_array
 from repro.kernels import active_backend
 from repro.obs.registry import MetricsRegistry, current_registry
 from repro.obs.trace import current_tracer, trace_point
@@ -482,20 +483,21 @@ class StagedSynopsis:
         if sketch_positions.shape[0] == 0:
             return
 
-        # (3) all missed mass enters the sketch in one weighted batch.
+        # (3) all missed mass enters the sketch in one weighted batch,
+        # which also returns each key's post-chunk estimate (one hash
+        # pass per key).
         sketch_keys = uniq[sketch_positions]
         sketch_totals = totals[sketch_positions]
         self.overflow_mass += int(sketch_totals.sum())
-        self._sketch.update_batch_weighted(sketch_keys, sketch_totals)
+        estimates = self._sketch.update_batch_weighted(
+            sketch_keys, sketch_totals
+        )
 
         # (4) the policy picks the exchange candidates (one check per
         # distinct missed key, in first-appearance order — order-stable
-        # at chunk granularity), driven by post-chunk estimates; the
-        # elided per-key min reads are charged in bulk to keep the
+        # at chunk granularity), driven by those post-chunk estimates;
+        # the elided per-key min reads are charged in bulk to keep the
         # operation record identical to the scalar loop.
-        estimates = np.asarray(
-            self._sketch.estimate_batch(sketch_keys), dtype=np.int64
-        )
         threshold = filter_.peek_min_new_count()
         candidates = self.exchange_policy.batch_candidates(
             self, estimates, threshold
@@ -547,9 +549,7 @@ class StagedSynopsis:
         items, ``n`` filter probes, one batched sketch read per miss)
         instead of re-entering :meth:`query` per key.
         """
-        if not isinstance(keys, np.ndarray):
-            keys = list(keys)
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = as_key_array(keys)
         n_items = keys.shape[0]
         if n_items == 0:
             return []
@@ -557,10 +557,8 @@ class StagedSynopsis:
         hit_mask, answers = self._filter.lookup_many(keys)
         miss_mask = ~hit_mask
         if miss_mask.any():
-            answers[miss_mask] = np.asarray(
-                self._sketch.estimate_batch(keys[miss_mask]), dtype=np.int64
-            )
-        return [int(v) for v in answers]
+            answers[miss_mask] = self._sketch.estimate_batch(keys[miss_mask])
+        return answers.tolist()
 
     estimate_batch = query_batch
 

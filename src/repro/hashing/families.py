@@ -44,9 +44,18 @@ def key_to_int(key: object) -> int:
     return hash(key) & MERSENNE_PRIME_61
 
 
-def encode_key_array(keys: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`key_to_int` for int64 key arrays."""
-    keys = np.asarray(keys, dtype=np.int64)
+def as_key_array(keys) -> np.ndarray:
+    """An int64 array of ``keys``: an ndarray is used as it is (cast
+    only if it is not int64), any other iterable is listed first."""
+    if not isinstance(keys, np.ndarray):
+        keys = list(keys)
+    return np.asarray(keys, dtype=np.int64)
+
+
+def encode_key_array(keys) -> np.ndarray:
+    """Vectorised :func:`key_to_int` for int64 key arrays (or any
+    iterable of integer keys, see :func:`as_key_array`)."""
+    keys = as_key_array(keys)
     return np.where(keys >= 0, keys << 1, (-keys << 1) - 1)
 
 

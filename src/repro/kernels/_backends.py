@@ -63,8 +63,13 @@ class KernelBackend:
         b_mod: np.ndarray,
         encoded: np.ndarray,
         amounts: np.ndarray,
-    ) -> None:
-        """Fused hash + scatter-add of (encoded key, amount) pairs."""
+    ) -> np.ndarray:
+        """Fused hash + scatter-add of (encoded key, amount) pairs.
+
+        Returns each key's post-update row minimum (what
+        :meth:`cm_estimate` answers on the updated table), from the
+        same column indices the update used.
+        """
         raise NotImplementedError
 
     def cm_estimate(
@@ -114,11 +119,14 @@ class _LoopBackend(KernelBackend):
 
     def cm_update_weighted(
         self, table, a_hi, a_lo, b_mod, encoded, amounts
-    ) -> None:
+    ) -> np.ndarray:
         """Loop-kernel fused update (see ``_impl.cm_update_weighted``)."""
+        encoded = _as_int64(encoded)
+        out = np.empty(encoded.shape[0], dtype=np.int64)
         self._cm_update_weighted(
-            table, a_hi, a_lo, b_mod, _as_int64(encoded), _as_int64(amounts)
+            table, a_hi, a_lo, b_mod, encoded, _as_int64(amounts), out
         )
+        return out
 
     def cm_estimate(self, table, a_hi, a_lo, b_mod, encoded) -> np.ndarray:
         """Loop-kernel fused estimate (see ``_impl.cm_estimate``)."""
@@ -177,17 +185,25 @@ class NumpyBackend(KernelBackend):
 
     def cm_update_weighted(
         self, table, a_hi, a_lo, b_mod, encoded, amounts
-    ) -> None:
-        """Per-row ``cw_fold_columns`` + ``np.add.at`` scatter."""
+    ) -> np.ndarray:
+        """Per-row ``cw_fold_columns``, ``np.add.at`` scatter, then a
+        gather of the same columns folded with ``np.minimum``.
+
+        Rows never touch each other's cells, so a row's gather right
+        after its own scatter already reads post-update cells.
+        """
         encoded = _as_int64(encoded)
         amounts = _as_int64(amounts)
         width = table.shape[1]
+        out = np.full(encoded.shape[0], _INT64_MAX, dtype=np.int64)
         for row in range(table.shape[0]):
             columns = cw_fold_columns(
                 int(a_hi[row]), int(a_lo[row]), int(b_mod[row]),
                 encoded, width,
             )
             np.add.at(table[row], columns, amounts)
+            np.minimum(out, table[row, columns], out=out)
+        return out
 
     def cm_estimate(self, table, a_hi, a_lo, b_mod, encoded) -> np.ndarray:
         """Per-row ``cw_fold_columns`` gather folded with ``np.minimum``."""
@@ -239,6 +255,8 @@ class NumbaBackend(_LoopBackend):
         table = np.zeros((1, 4), dtype=np.int64)
         row_param = np.array([1], dtype=np.int64)
         encoded = np.array([3], dtype=np.int64)
+        # Compiles the seven-argument signature (with the ``out`` array
+        # of post-update estimates).
         self.cm_update_weighted(
             table, row_param, row_param, row_param, encoded,
             np.array([1], dtype=np.int64),

@@ -58,16 +58,25 @@ def cm_update_weighted(
     b_mod: np.ndarray,
     encoded: np.ndarray,
     amounts: np.ndarray,
+    out: np.ndarray,
 ) -> None:
-    """Fused Carter-Wegman hash + scatter-add over a Count-Min table.
+    """Fused Carter-Wegman hash + scatter-add, then each key's
+    post-update row minimum into ``out``.
 
-    One pass per row: each key's column is computed in-register and its
-    amount added immediately — no intermediate ``(rows, n)`` index array
-    ever exists, which is the point of compiling this loop.
+    Per row, the update pass computes each key's column in-register,
+    adds its amount and keeps the column in a one-row buffer; a second
+    pass then reads the row's now-final cells into the running minimum.
+    Rows never touch each other's cells, so a row's cells are final as
+    soon as its own update pass ends, and each key is hashed once per
+    row.  No ``(rows, n)`` index array ever exists, which is the point
+    of compiling this loop.
     """
     rows = table.shape[0]
     width = table.shape[1]
     n = encoded.shape[0]
+    columns = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        out[i] = _INT64_MAX
     for r in range(rows):
         hi_a = a_hi[r]
         lo_a = a_lo[r]
@@ -78,7 +87,12 @@ def cm_update_weighted(
             hi = (hi_a * k) % _P
             hi_term = ((hi >> 30) + ((hi & _MASK_30) << 31)) % _P
             col = ((lo + hi_term + b) % _P) % width
+            columns[i] = col
             table[r, col] += amounts[i]
+        for i in range(n):
+            cell = table[r, columns[i]]
+            if cell < out[i]:
+                out[i] = cell
 
 
 def cm_estimate(

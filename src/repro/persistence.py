@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import zipfile
 from pathlib import Path
 from typing import Any
 
@@ -81,6 +82,25 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
+def _write_npz(handle: Any, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` as an ``.npz`` archive at deflate level 1.
+
+    The layout is what ``np.savez_compressed`` writes (one
+    ``<name>.npy`` member per array, read back by ``np.load``), but
+    ``np.savez_compressed`` always deflates at zlib's default level 6:
+    about four times the CPU time of level 1 on a Count-Min table, for
+    archives only ~20% smaller.
+    """
+    with zipfile.ZipFile(
+        handle, mode="w", compression=zipfile.ZIP_DEFLATED, compresslevel=1
+    ) as archive:
+        for name, array in arrays.items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(
+                    member, np.asanyarray(array), allow_pickle=False
+                )
+
+
 def save_synopsis(synopsis: Any, path: str | Path) -> None:
     """Write any state-protocol synopsis (parameters + counters) to ``path``.
 
@@ -107,15 +127,13 @@ def save_synopsis(synopsis: Any, path: str | Path) -> None:
     }
     target = Path(path)
     if not target.name.endswith(".npz"):
-        # np.savez appends the suffix itself; mirror that for the rename
-        # target so callers see the same final filename as before.
+        # Archives always carry the suffix np.savez would append, so
+        # callers see the same final filename as before.
         target = target.with_name(target.name + ".npz")
     scratch = target.with_name(target.name + ".tmp")
     try:
         with open(scratch, "wb") as handle:
-            np.savez_compressed(
-                handle, metadata=_pack_metadata(metadata), **arrays
-            )
+            _write_npz(handle, {"metadata": _pack_metadata(metadata), **arrays})
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(scratch, target)

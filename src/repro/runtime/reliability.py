@@ -62,6 +62,7 @@ from repro.errors import (
     StreamFormatError,
     TransientSourceError,
 )
+from repro.hashing.families import as_key_array
 from repro.obs.registry import current_registry
 from repro.obs.trace import trace_span
 from repro.persistence import _fsync_directory, load_synopsis, save_synopsis
@@ -953,9 +954,7 @@ class ShardSupervisor:
 
     def query_batch(self, keys: Iterable[int]) -> list[int]:
         """Vectorised owner-partitioned point queries with degradation."""
-        if not isinstance(keys, np.ndarray):
-            keys = list(keys)
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = as_key_array(keys)
         if keys.size == 0:
             return []
         if not self.failed_shards:
@@ -974,10 +973,8 @@ class ShardSupervisor:
             if self._status[index] == self.STATUS_FAILED:
                 standby = self._standbys.get(index)
                 if standby is not None:
-                    answers[mask] += np.asarray(
-                        standby.estimate_batch(share), dtype=np.int64
-                    )
-        return [int(v) for v in answers]
+                    answers[mask] += standby.estimate_batch(share)
+        return answers.tolist()
 
     estimate_batch = query_batch
 

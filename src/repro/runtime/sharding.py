@@ -18,7 +18,7 @@ from repro.core.asketch import ASketch
 from repro.errors import ConfigurationError
 from repro.hashing import make_hash_family
 from repro.obs.registry import MetricsRegistry, current_registry
-from repro.hashing.families import encode_key_array, key_to_int
+from repro.hashing.families import as_key_array, encode_key_array, key_to_int
 from repro.synopses.protocol import (
     SynopsisState,
     pack_nested,
@@ -187,9 +187,7 @@ class ShardedASketch:
         Partitions the batch by owner and runs each shard's vectorised
         ``query_batch`` once, scattering answers back into input order.
         """
-        if not isinstance(keys, np.ndarray):
-            keys = list(keys)
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = as_key_array(keys)
         if keys.size == 0:
             return []
         owners = self._router.hash_array(encode_key_array(keys))
@@ -198,7 +196,7 @@ class ShardedASketch:
             mask = owners == index
             if mask.any():
                 answers[mask] = shard.query_batch(keys[mask])
-        return [int(v) for v in answers]
+        return answers.tolist()
 
     estimate_batch = query_batch
 

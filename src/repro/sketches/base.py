@@ -80,19 +80,27 @@ class FrequencySketch(ABC):
 
     def update_batch_weighted(
         self, keys: np.ndarray, amounts: np.ndarray
-    ) -> None:
-        """Apply per-key weighted updates (no estimates returned).
+    ) -> np.ndarray:
+        """Apply per-key weighted updates; return each key's post-update
+        estimate (after the whole batch) as an int64 array.
 
         ``keys[i]`` receives ``amounts[i]``.  This is the miss path of
         the ASketch batched ingest: a chunk is pre-aggregated to one
-        (key, total) pair per distinct key before it reaches the sketch.
-        The default loops; array-backed sketches override with one
-        vectorised scatter-add per row.
+        (key, total) pair per distinct key before it reaches the sketch,
+        and the returned estimates drive the exchange check.  The
+        default loops over :meth:`update` (state-dependent updates such
+        as SALSA's merges or SF-sketch's conditional slim raise cannot
+        be scatter-added), then reads the estimates with
+        :meth:`estimate_batch`.  Array-backed sketches override with one
+        vectorised scatter-add per row that gathers the estimates from
+        the same hash columns, charging the operation record exactly as
+        this update-then-estimate pair.
         """
         keys = np.asarray(keys)
         amounts = np.asarray(amounts)
         for key, amount in zip(keys.tolist(), amounts.tolist()):
             self.update(int(key), int(amount))
+        return np.asarray(self.estimate_batch(keys), dtype=np.int64)
 
     def estimate_batch(self, keys: Iterable[int]) -> list[int]:
         """Point-query every key; default loops over :meth:`estimate`."""

@@ -194,34 +194,39 @@ class CountMinSketch(FrequencySketch):
 
     def update_batch_weighted(
         self, keys: np.ndarray, amounts: np.ndarray
-    ) -> None:
-        """Vectorised per-key weighted updates (one scatter-add per row).
+    ) -> np.ndarray:
+        """Vectorised per-key weighted updates; returns each key's
+        post-update estimate as an int64 array.
 
-        Conservative mode falls back to the per-item loop for the same
-        reason :meth:`update_batch` does.
+        Each key is hashed once: the columns of the scatter-add are the
+        ones the estimate gathers.  The operation record is charged as
+        an update followed by :meth:`estimate_batch` (see
+        :meth:`FrequencySketch.update_batch_weighted`).  Conservative
+        mode falls back to the per-item loop for the same reason
+        :meth:`update_batch` does.
         """
         keys = np.asarray(keys)
         amounts = np.asarray(amounts, dtype=np.int64)
         if self.conservative:
-            super().update_batch_weighted(keys, amounts)
-            return
+            return super().update_batch_weighted(keys, amounts)
         encoded = encode_key_array(keys)
-        self.ops.hash_evals += self.num_hashes * len(keys)
-        self.ops.sketch_cell_writes += self.num_hashes * len(keys)
+        n = encoded.shape[0]
+        self.ops.hash_evals += 2 * self.num_hashes * n
+        self.ops.sketch_cell_writes += self.num_hashes * n
+        self.ops.sketch_cell_reads += self.num_hashes * n
         if self._kernel_ready(encoded):
             assert self._cw_params is not None
             a_hi, a_lo, b_mod = self._cw_params
-            active_backend().cm_update_weighted(
+            estimates = active_backend().cm_update_weighted(
                 self._table, a_hi, a_lo, b_mod, encoded, amounts
             )
         else:
-            for row, family in enumerate(self._hashes):
-                columns = family.hash_array(encoded)
-                np.add.at(self._table[row], columns, amounts)
+            estimates = self._row_minimum(encoded, amounts)
         if amounts.size and int(amounts.min()) < 0 and (self._table < 0).any():
             raise NegativeCountError(
                 "batch negative update drove a Count-Min cell below zero"
             )
+        return estimates
 
     # -- queries ----------------------------------------------------------
 
@@ -236,24 +241,36 @@ class CountMinSketch(FrequencySketch):
 
     def estimate_batch(self, keys) -> list[int]:
         """Vectorised point queries."""
-        keys = np.asarray(list(keys))
-        if keys.size == 0:
-            return []
         encoded = encode_key_array(keys)
-        self.ops.hash_evals += self.num_hashes * len(keys)
-        self.ops.sketch_cell_reads += self.num_hashes * len(keys)
+        n = encoded.shape[0]
+        if n == 0:
+            return []
+        self.ops.hash_evals += self.num_hashes * n
+        self.ops.sketch_cell_reads += self.num_hashes * n
         if self._kernel_ready(encoded):
             assert self._cw_params is not None
             a_hi, a_lo, b_mod = self._cw_params
             estimates = active_backend().cm_estimate(
                 self._table, a_hi, a_lo, b_mod, encoded
             )
-            return [int(v) for v in estimates]
-        estimates = np.full(len(keys), np.iinfo(np.int64).max, dtype=np.int64)
+        else:
+            estimates = self._row_minimum(encoded)
+        return estimates.tolist()
+
+    def _row_minimum(
+        self, encoded: np.ndarray, amounts: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per-row ``hash_array`` path: optionally scatter-add
+        ``amounts`` into each row, then gather the row's cells into the
+        running minimum (rows never share cells, so the gather is
+        post-update)."""
+        estimates = np.full(encoded.shape[0], np.iinfo(np.int64).max, dtype=np.int64)
         for row, family in enumerate(self._hashes):
             columns = family.hash_array(encoded)
+            if amounts is not None:
+                np.add.at(self._table[row], columns, amounts)
             np.minimum(estimates, self._table[row, columns], out=estimates)
-        return [int(v) for v in estimates]
+        return estimates
 
     def _kernel_ready(self, encoded: np.ndarray) -> bool:
         """Whether the fused hash kernels can serve this encoded batch.

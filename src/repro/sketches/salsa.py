@@ -209,16 +209,6 @@ class SalsaCountMin(FrequencySketch):
         assert estimate is not None
         return estimate
 
-    def update_batch_weighted(
-        self, keys: np.ndarray, amounts: np.ndarray
-    ) -> None:
-        """Per-key loop: merges are state-dependent, so updates cannot
-        be scatter-added like a fixed-layout Count-Min's."""
-        keys = np.asarray(keys)
-        amounts = np.asarray(amounts, dtype=np.int64)
-        for key, amount in zip(keys.tolist(), amounts.tolist()):
-            self.update(int(key), int(amount))
-
     def update_batch(self, keys: np.ndarray, amount: int = 1) -> None:
         keys = np.asarray(keys)
         for key in keys.tolist():
@@ -239,17 +229,17 @@ class SalsaCountMin(FrequencySketch):
 
     def estimate_batch(self, keys) -> list[int]:
         """Vectorised point queries (per-row hash + gather + min)."""
-        keys = np.asarray(list(keys))
-        if keys.size == 0:
-            return []
         encoded = encode_key_array(keys)
-        self.ops.hash_evals += self.num_hashes * len(keys)
-        self.ops.sketch_cell_reads += self.num_hashes * len(keys)
-        estimates = np.full(len(keys), np.iinfo(np.int64).max, dtype=np.int64)
+        n = encoded.shape[0]
+        if n == 0:
+            return []
+        self.ops.hash_evals += self.num_hashes * n
+        self.ops.sketch_cell_reads += self.num_hashes * n
+        estimates = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
         for row, family in enumerate(self._hashes):
             columns = family.hash_array(encoded)
             np.minimum(estimates, self._values[row, columns], out=estimates)
-        return [int(v) for v in estimates]
+        return estimates.tolist()
 
     def total_count(self) -> int:
         """Aggregate count ``N`` absorbed so far (row 0 segment sum)."""

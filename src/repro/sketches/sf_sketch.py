@@ -169,17 +169,6 @@ class SFSketch(FrequencySketch):
         assert estimate is not None
         return estimate
 
-    def update_batch_weighted(
-        self, keys: np.ndarray, amounts: np.ndarray
-    ) -> None:
-        """Per-key loop: every slim raise depends on the cells the
-        previous update left behind (like conservative Count-Min, the
-        conditional update cannot be scatter-added)."""
-        keys = np.asarray(keys)
-        amounts = np.asarray(amounts, dtype=np.int64)
-        for key, amount in zip(keys.tolist(), amounts.tolist()):
-            self.update(int(key), int(amount))
-
     def update_batch(self, keys: np.ndarray, amount: int = 1) -> None:
         keys = np.asarray(keys)
         for key in keys.tolist():

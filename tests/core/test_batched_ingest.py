@@ -24,8 +24,13 @@ import pytest
 from repro.core.asketch import ASketch
 from repro.core.filters import make_filter
 from repro.errors import ConfigurationError, NegativeCountError
+from repro.kernels import _backends, use_backend
+from repro.runtime.reliability import FaultPlan, ResilientEngine, ShardSupervisor
+from repro.runtime.sharding import ShardedASketch
 from repro.sketches.count_min import CountMinSketch
 from repro.sketches.count_sketch import CountSketch
+from repro.sketches.salsa import SalsaCountMin
+from repro.streams.zipf import zipf_stream
 
 FILTER_KINDS = ["vector", "strict-heap", "relaxed-heap", "stream-summary"]
 
@@ -225,6 +230,57 @@ class TestBatchValidation:
         assert asketch.ops.items == 0
 
 
+#: The input forms every batched read accepts.
+KEY_FORMS = {
+    "int64": lambda keys: np.array(keys, dtype=np.int64),
+    "int32": lambda keys: np.array(keys, dtype=np.int32),
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda keys: (key for key in keys),
+    "empty": list,
+}
+
+_READ_STREAM = np.random.default_rng(43).zipf(1.3, size=6000) % 200
+
+
+def _sketch_reader(sketch):
+    sketch.update_batch(_READ_STREAM)
+    return sketch.estimate_batch, sketch.estimate
+
+
+def _synopsis_reader(synopsis):
+    synopsis.process_batch(_READ_STREAM)
+    return synopsis.query_batch, synopsis.query
+
+
+def _degraded_supervisor_reader():
+    """A supervisor with failed shard 1: its keys are answered by the
+    frozen shard plus the count-min standby that took its traffic."""
+    supervisor = ShardSupervisor(shards=3, total_bytes=6 * 1024, filter_items=4)
+    chunks = (_READ_STREAM[i : i + 500] for i in range(0, 6000, 500))
+    ResilientEngine(supervisor).run(chunks, fault_plan=FaultPlan(fail_shard=(4, 1)))
+    assert supervisor.failed_shards == [1]
+    return supervisor.query_batch, supervisor.query
+
+
+#: Factories of (batched read, per-key read) pairs over a fed synopsis.
+BATCH_READERS = {
+    "count-min": lambda: _sketch_reader(CountMinSketch(4, row_width=61, seed=3)),
+    "count-sketch": lambda: _sketch_reader(CountSketch(5, row_width=61, seed=3)),
+    "salsa": lambda: _sketch_reader(SalsaCountMin(4, num_slots=64, seed=3)),
+    "staged": lambda: _synopsis_reader(
+        ASketch(total_bytes=2 * 1024, filter_items=8, num_hashes=4, seed=3)
+    ),
+    "sharded": lambda: _synopsis_reader(
+        ShardedASketch(shards=3, total_bytes=2 * 1024, filter_items=4, seed=3)
+    ),
+    "supervisor": lambda: _synopsis_reader(
+        ShardSupervisor(shards=3, total_bytes=2 * 1024, filter_items=4, seed=3)
+    ),
+    "supervisor-failed-shard": _degraded_supervisor_reader,
+}
+
+
 class TestBatchedQueries:
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_query_batch_matches_scalar_queries(self, kind):
@@ -236,6 +292,18 @@ class TestBatchedQueries:
         assert asketch.query_batch(probes) == [
             asketch.query(key) for key in probes
         ]
+
+    @pytest.mark.parametrize("form", sorted(KEY_FORMS))
+    @pytest.mark.parametrize("name", sorted(BATCH_READERS))
+    def test_batch_reads_return_python_ints(self, name, form):
+        """Every batched read returns a ``list`` of Python ``int`` equal
+        to the per-key point queries, whatever iterable it is handed."""
+        reader, point = BATCH_READERS[name]()
+        probes = [] if form == "empty" else list(range(0, 250))
+        answers = reader(KEY_FORMS[form](probes))
+        assert type(answers) is list
+        assert all(type(answer) is int for answer in answers)
+        assert answers == [point(key) for key in probes]
 
     def test_query_batch_accounting(self):
         """One ``ops.items`` tick per queried key, exactly like scalar."""
@@ -250,6 +318,32 @@ class TestBatchedQueries:
         asketch.process_stream(np.arange(20, dtype=np.int64))
         probes = [0, 5, 99]
         assert asketch.estimate_batch(probes) == asketch.query_batch(probes)
+
+
+class TestHashOnce:
+    """The batched ingest hashes each overflowing key once per chunk:
+    the sketch update hands back the estimates the exchange check
+    needs, instead of a second ``estimate_batch`` pass."""
+
+    def test_one_fold_per_row_per_chunk(self, monkeypatch):
+        calls = []
+        fold = _backends.cw_fold_columns
+
+        def counting_fold(*args):
+            calls.append(args[3].shape[0])
+            return fold(*args)
+
+        monkeypatch.setattr(_backends, "cw_fold_columns", counting_fold)
+        stream = zipf_stream(20_000, 5_000, 0.9, seed=12).keys
+        asketch = ASketch(total_bytes=8 * 1024, filter_items=8, num_hashes=6)
+        with use_backend("numpy"):
+            asketch.process_batch(stream[:10_000])
+            calls.clear()
+            misses_before = asketch.miss_events
+            asketch.process_batch(stream[10_000:])
+        assert asketch.miss_events > misses_before  # misses reached the sketch
+        assert len(calls) == asketch.sketch.num_hashes
+        assert len(set(calls)) == 1  # every call folds the same missed keys
 
 
 class TestFilterBulkApi:

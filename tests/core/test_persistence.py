@@ -186,6 +186,61 @@ def _write_archive(path, metadata: dict, **arrays) -> None:
     np.savez_compressed(path, metadata=blob, **arrays)
 
 
+class TestArchiveFormat:
+    def _asketch(self, stream):
+        asketch = ASketch(total_bytes=32 * 1024, filter_items=8, seed=9)
+        asketch.process_batch(stream.keys[:10_000])
+        return asketch
+
+    def test_archive_written_by_savez_compressed_still_loads(
+        self, stream, tmp_path
+    ):
+        """Archives from before the level-1 writer (``np.savez_compressed``,
+        zlib level 6) restore to an identical state."""
+        from repro.persistence import load_synopsis
+        from repro.synopses.protocol import synopsis_state_of
+
+        asketch = self._asketch(stream)
+        state = synopsis_state_of(asketch)
+        path = tmp_path / "legacy.npz"
+        _write_archive(
+            path,
+            {
+                "version": 2,
+                "kind": state.kind,
+                "params": state.params,
+                "extra": state.extra,
+            },
+            **{f"array.{name}": array for name, array in state.arrays.items()},
+        )
+        restored = load_synopsis(path)
+        assert synopsis_state_of(restored).equals(state)
+
+    def test_members_match_savez_layout(self, stream, tmp_path):
+        import zipfile
+
+        from repro.persistence import save_synopsis
+
+        asketch = self._asketch(stream)
+        path = tmp_path / "asketch.npz"
+        save_synopsis(asketch, path)
+        legacy = tmp_path / "legacy.npz"
+        with np.load(path) as archive:
+            np.savez_compressed(
+                legacy, **{name: archive[name] for name in archive.files}
+            )
+        with zipfile.ZipFile(path) as new, zipfile.ZipFile(legacy) as old:
+            assert new.namelist() == old.namelist()
+            assert all(
+                info.compress_type == zipfile.ZIP_DEFLATED
+                for info in new.infolist()
+            )
+        with np.load(path) as new, np.load(legacy) as old:
+            for name in old.files:
+                assert new[name].dtype == old[name].dtype
+                np.testing.assert_array_equal(new[name], old[name])
+
+
 class TestErrorHandling:
     def test_kind_mismatch(self, tmp_path):
         sketch = CountMinSketch(4, row_width=64)

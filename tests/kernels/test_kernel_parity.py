@@ -93,16 +93,38 @@ class TestCountMinKernels:
         rng = np.random.default_rng(3)
         width, rows = 37, 4
         hashes, (a_hi, a_lo, b_mod) = _cw_params(rows, width, seed=5)
-        encoded = encode_key_array(rng.integers(0, 500, size=300))
-        amounts = rng.integers(1, 9, size=300).astype(np.int64)
+        # Repeated keys (and 300 keys over 37 columns) collide within
+        # the batch, so a returned estimate read before the batch's
+        # last update to a shared cell would differ.
+        keys = rng.integers(0, 500, size=300)
+        encoded = encode_key_array(np.concatenate([keys, keys[:40]]))
+        amounts = rng.integers(1, 9, size=encoded.shape[0]).astype(np.int64)
 
         table = np.zeros((rows, width), dtype=np.int64)
-        backend.cm_update_weighted(table, a_hi, a_lo, b_mod, encoded, amounts)
+        estimates = backend.cm_update_weighted(
+            table, a_hi, a_lo, b_mod, encoded, amounts
+        )
 
         expected = np.zeros((rows, width), dtype=np.int64)
         for row, family in enumerate(hashes):
             np.add.at(expected[row], family.hash_array(encoded), amounts)
         assert np.array_equal(table, expected)
+        # The returned estimates are the post-update point queries.
+        assert estimates.dtype == np.int64
+        for reader in (backend, _reference_backend()):
+            assert np.array_equal(
+                estimates, reader.cm_estimate(table, a_hi, a_lo, b_mod, encoded)
+            )
+
+    def test_update_of_empty_batch(self, backend):
+        _, (a_hi, a_lo, b_mod) = _cw_params(3, 11, seed=2)
+        table = np.ones((3, 11), dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        estimates = backend.cm_update_weighted(
+            table, a_hi, a_lo, b_mod, empty, empty
+        )
+        assert estimates.shape == (0,)
+        assert (table == 1).all()
 
     def test_estimate_matches_hash_array_gather(self, backend):
         rng = np.random.default_rng(4)

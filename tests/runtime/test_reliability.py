@@ -70,13 +70,13 @@ class TestAtomicSave:
         save_synopsis(first, path)
         golden = path.read_bytes()
 
-        import numpy as np_module
-
-        def exploding_savez(handle, **arrays):
-            handle.write(b"partial garbage")
+        def exploding_write_array(member, array, **kwargs):
+            member.write(b"partial garbage")
             raise OSError("disk full mid-write")
 
-        monkeypatch.setattr(np_module, "savez_compressed", exploding_savez)
+        # Crash inside the archive writer, after some bytes of the new
+        # archive have reached the scratch file.
+        monkeypatch.setattr(np.lib.format, "write_array", exploding_write_array)
         second = make_asketch()
         with pytest.raises(OSError, match="disk full"):
             save_synopsis(second, path)
