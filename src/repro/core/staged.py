@@ -440,12 +440,7 @@ class StagedSynopsis:
         self.total_mass += int(counts.sum())
 
         # (1) pre-aggregate: one (key, chunk total) pair per distinct key.
-        uniq, first_pos, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        totals = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(totals, inverse, counts)
-        order = np.argsort(first_pos)  # first-appearance order
+        uniq, totals, order, inverse = _pre_aggregate(keys, counts)
         uniq = uniq[order]
         totals = totals[order]
 
@@ -543,22 +538,26 @@ class StagedSynopsis:
         """Point-query every key in order (vectorised Algorithm 2).
 
         One bulk filter probe answers the monitored keys; the misses go
-        to the sketch in a single :meth:`FrequencySketch.estimate_batch`
-        call.  Answers are identical to per-key :meth:`query`, and the
-        operation record is charged once for the whole batch (``n``
-        items, ``n`` filter probes, one batched sketch read per miss)
-        instead of re-entering :meth:`query` per key.
+        to the sketch in a single batched read
+        (:meth:`FrequencySketch.estimate_batch` as an array).  Answers
+        are identical to per-key :meth:`query`, and the operation
+        record is charged once for the whole batch (``n`` items, ``n``
+        filter probes, one batched sketch read per miss) instead of
+        re-entering :meth:`query` per key.
         """
-        keys = as_key_array(keys)
+        return self._query_array(as_key_array(keys)).tolist()
+
+    def _query_array(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`query_batch` of an int64 key array, as an int64 array."""
         n_items = keys.shape[0]
         if n_items == 0:
-            return []
+            return np.empty(0, dtype=np.int64)
         self.ops.items += n_items
         hit_mask, answers = self._filter.lookup_many(keys)
         miss_mask = ~hit_mask
         if miss_mask.any():
-            answers[miss_mask] = self._sketch.estimate_batch(keys[miss_mask])
-        return answers.tolist()
+            answers[miss_mask] = self._sketch._estimate_array(keys[miss_mask])
+        return answers
 
     estimate_batch = query_batch
 
@@ -898,6 +897,36 @@ class StagedSynopsis:
             f"(filter={self.filter_kind}x{self._filter.capacity}, "
             f"sketch={self._sketch!r}, bytes={self.size_bytes})"
         )
+
+
+def _pre_aggregate(
+    keys: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One (key, chunk total) pair per distinct key of a non-empty chunk.
+
+    Returns ``(uniq, totals, order, inverse)``: the distinct keys in
+    ascending order with their summed ``counts``, the permutation of
+    ``uniq`` into first-appearance order, and each tuple's index into
+    ``uniq`` — what ``np.unique(keys, return_index=True,
+    return_inverse=True)`` gives followed by ``np.argsort`` of the first
+    positions, without the stable sort ``return_index`` costs: a key's
+    first position is the minimum of its positions whatever order the
+    default sort left them in.
+    """
+    n_items = keys.shape[0]
+    perm = np.argsort(keys)
+    sorted_keys = keys[perm]
+    new_run = sorted_keys[1:] != sorted_keys[:-1]
+    uniq = sorted_keys[np.concatenate(([True], new_run))]
+    inverse = np.empty(n_items, dtype=np.intp)
+    inverse[perm] = np.concatenate(([0], np.cumsum(new_run)))
+    totals = np.zeros(uniq.shape[0], dtype=np.int64)
+    np.add.at(totals, inverse, counts)
+    first_pos = np.full(uniq.shape[0], n_items, dtype=np.intp)
+    np.minimum.at(first_pos, inverse, np.arange(n_items))
+    is_first = np.zeros(n_items, dtype=bool)
+    is_first[first_pos] = True
+    return uniq, totals, inverse[is_first], inverse
 
 
 def _kind_of(front: Filter) -> str:

@@ -66,23 +66,36 @@ def cw_fold_columns(
     encoded: np.ndarray,
     width: int,
 ) -> np.ndarray:
-    """``((a*x + b) mod p) mod width`` for encoded keys below ``2**31``.
+    """``((a*x + b) mod p) mod width`` for encoded keys in ``[0, 2**31)``.
 
     ``a`` arrives pre-split as ``a = a_hi * 2**31 + a_lo`` so every
     product fits in 64 bits, and the ``a_hi * x * 2**31`` term reduces
     with the Mersenne identity ``2**61 = 1 (mod p)``: write
     ``y = y_hi * 2**30 + y_lo``, then ``y * 2**31 = y_hi * 2**61 +
     y_lo * 2**31 = y_hi + y_lo * 2**31 (mod p)``.  With
-    ``a_hi < 2**30`` (``a < p``) and keys below ``2**31``, every
-    intermediate stays under ``2**62`` and every sum under ``3 * 2**61``,
-    so plain signed int64 arithmetic is exact — the same bound the
-    compiled kernels (:mod:`repro.kernels`) rely on, which share this
-    folding element-for-element.
+    ``a_hi < 2**30`` (``a < p``) and keys below ``2**31``,
+    ``y = a_hi * x`` is already below ``p``, and the unreduced sum
+    ``a_lo * x + y_hi + y_lo * 2**31 + b`` stays below
+    ``2**62 + (2**31 + 2**61) + 2**61 = 2**63 + 2**31``, so it is exact
+    in uint64 and needs one reduction, not four.  Both reductions are
+    ``s - (s // d) * d``: NumPy divides by a scalar with a precomputed
+    multiplier, several times faster than ``%``, and for unsigned
+    operands the floor quotient makes the remainder exact.  The
+    compiled kernels (:mod:`repro.kernels`) compute the same residue
+    element for element.  Negative keys must not reach this function
+    (their uint64 view is not the key).
     """
-    lo = (a_lo * encoded) % MERSENNE_PRIME_61
-    hi = (a_hi * encoded) % MERSENNE_PRIME_61
-    hi_term = ((hi >> 30) + ((hi & ((1 << 30) - 1)) << 31)) % MERSENNE_PRIME_61
-    return ((lo + hi_term + b_mod) % MERSENNE_PRIME_61) % width
+    x = np.asarray(encoded, dtype=np.int64).view(np.uint64)
+    y = x * _UINT64(a_hi)
+    s = x * _UINT64(a_lo)
+    s += y >> _UINT64(30)
+    s += (y & _UINT64((1 << 30) - 1)) << _UINT64(31)
+    s += _UINT64(b_mod)
+    p = _UINT64(MERSENNE_PRIME_61)
+    s -= (s // p) * p
+    w = _UINT64(width)
+    s -= (s // w) * w
+    return s.view(np.int64)
 
 
 class HashFamily(ABC):
@@ -144,10 +157,14 @@ class CarterWegmanHash(HashFamily):
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
         # NumPy has no native 128-bit ints; use Python object math only
-        # for the rare huge-key case and the int64-safe Mersenne folding
-        # (cw_fold_columns) otherwise.
+        # for the rare negative or huge keys and the uint64 Mersenne
+        # folding (cw_fold_columns) otherwise.
         keys = np.asarray(keys, dtype=np.int64)
-        if keys.size and int(keys.max(initial=0)) < (1 << 31):
+        if (
+            keys.size
+            and int(keys.min()) >= 0
+            and int(keys.max()) < (1 << 31)
+        ):
             a_hi, a_lo, b_mod = self.kernel_params
             return cw_fold_columns(
                 a_hi, a_lo, b_mod, keys, self.output_range

@@ -164,7 +164,15 @@ class NumpyBackend(KernelBackend):
     def membership_probe(
         self, ids: np.ndarray, keys: np.ndarray
     ) -> np.ndarray:
-        """Sorted-view ``searchsorted`` membership over occupied slots."""
+        """Bitmap screen, then sorted-view ``searchsorted`` membership
+        over occupied slots.
+
+        A key can only be stored if its low bits are some stored key's
+        low bits, so a power-of-two bitmap of the stored keys' low bits
+        (16 to 32 bits per slot, at most ``2**20``) passes every hit and
+        a small share of the misses; only those candidates are
+        binary-searched.
+        """
         keys = _as_int64(keys)
         out = np.full(keys.shape[0], -1, dtype=np.int64)
         if keys.shape[0] == 0:
@@ -174,13 +182,19 @@ class NumpyBackend(KernelBackend):
         if occupied.shape[0] == 0:
             return out
         stored = ids[occupied] - 1
+        low_bits = (1 << min(occupied.shape[0].bit_length() + 4, 20)) - 1
+        bitmap = np.zeros(low_bits + 1, dtype=bool)
+        bitmap[stored & low_bits] = True
+        candidates = np.flatnonzero(bitmap[keys & low_bits])
+        if candidates.shape[0] == 0:
+            return out
         order = np.argsort(stored)
         sorted_keys = stored[order]
-        slots = occupied[order]
-        positions = np.searchsorted(sorted_keys, keys)
-        positions = np.minimum(positions, sorted_keys.shape[0] - 1)
-        mask = sorted_keys[positions] == keys
-        out[mask] = slots[positions[mask]]
+        probe = keys[candidates]
+        positions = np.searchsorted(sorted_keys, probe)
+        np.minimum(positions, sorted_keys.shape[0] - 1, out=positions)
+        mask = sorted_keys[positions] == probe
+        out[candidates[mask]] = occupied[order[positions[mask]]]
         return out
 
     def cm_update_weighted(
@@ -202,7 +216,7 @@ class NumpyBackend(KernelBackend):
                 encoded, width,
             )
             np.add.at(table[row], columns, amounts)
-            np.minimum(out, table[row, columns], out=out)
+            np.minimum(out, table[row].take(columns), out=out)
         return out
 
     def cm_estimate(self, table, a_hi, a_lo, b_mod, encoded) -> np.ndarray:
@@ -215,7 +229,7 @@ class NumpyBackend(KernelBackend):
                 int(a_hi[row]), int(a_lo[row]), int(b_mod[row]),
                 encoded, width,
             )
-            np.minimum(out, table[row, columns], out=out)
+            np.minimum(out, table[row].take(columns), out=out)
         return out
 
     def exchange_candidates(

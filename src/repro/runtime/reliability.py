@@ -954,11 +954,12 @@ class ShardSupervisor:
 
     def query_batch(self, keys: Iterable[int]) -> list[int]:
         """Vectorised owner-partitioned point queries with degradation."""
-        keys = as_key_array(keys)
-        if keys.size == 0:
-            return []
-        if not self.failed_shards:
-            return self.group.query_batch(keys)
+        return self._query_array(as_key_array(keys)).tolist()
+
+    def _query_array(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`query_batch` of an int64 key array, as an int64 array."""
+        if not self.failed_shards or keys.size == 0:
+            return self.group._query_array(keys)
         owners = self.group.owners_of(keys)
         answers = np.zeros(keys.shape[0], dtype=np.int64)
         for index, shard in enumerate(self.group.shards):
@@ -967,14 +968,14 @@ class ShardSupervisor:
                 continue
             share = keys[mask]
             try:
-                answers[mask] = shard.query_batch(share)
+                answers[mask] = shard._query_array(share)
             except Exception:
                 answers[mask] = 0
             if self._status[index] == self.STATUS_FAILED:
                 standby = self._standbys.get(index)
                 if standby is not None:
-                    answers[mask] += standby.estimate_batch(share)
-        return answers.tolist()
+                    answers[mask] += standby._estimate_array(share)
+        return answers
 
     estimate_batch = query_batch
 

@@ -185,18 +185,21 @@ class ShardedASketch:
         """Owner-shard point queries for many keys.
 
         Partitions the batch by owner and runs each shard's vectorised
-        ``query_batch`` once, scattering answers back into input order.
+        batch query once, scattering answers back into input order.
         """
-        keys = as_key_array(keys)
-        if keys.size == 0:
-            return []
-        owners = self._router.hash_array(encode_key_array(keys))
+        return self._query_array(as_key_array(keys)).tolist()
+
+    def _query_array(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`query_batch` of an int64 key array, as an int64 array."""
         answers = np.empty(keys.shape[0], dtype=np.int64)
+        if keys.size == 0:
+            return answers
+        owners = self._router.hash_array(encode_key_array(keys))
         for index, shard in enumerate(self._shards):
             mask = owners == index
             if mask.any():
-                answers[mask] = shard.query_batch(keys[mask])
-        return answers.tolist()
+                answers[mask] = shard._query_array(keys[mask])
+        return answers
 
     estimate_batch = query_batch
 

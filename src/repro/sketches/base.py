@@ -100,11 +100,16 @@ class FrequencySketch(ABC):
         amounts = np.asarray(amounts)
         for key, amount in zip(keys.tolist(), amounts.tolist()):
             self.update(int(key), int(amount))
-        return np.asarray(self.estimate_batch(keys), dtype=np.int64)
+        return self._estimate_array(keys)
 
     def estimate_batch(self, keys: Iterable[int]) -> list[int]:
         """Point-query every key; default loops over :meth:`estimate`."""
         return [self.estimate(int(key)) for key in keys]
+
+    def _estimate_array(self, keys) -> np.ndarray:
+        """:meth:`estimate_batch` as an int64 array; sketches that
+        compute the estimates as an array return it without listing."""
+        return np.asarray(self.estimate_batch(keys), dtype=np.int64)
 
     def process_stream(self, keys: np.ndarray) -> None:
         """Ingest a unit-count key array as a stream (driver entry point).

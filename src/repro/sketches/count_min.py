@@ -27,7 +27,7 @@ from repro.kernels import active_backend
 from repro.sketches.base import CELL_BYTES, FrequencySketch, row_width_for_bytes
 from repro.synopses.protocol import SynopsisState
 
-#: Encoded keys must stay below this for the fused int64 hash kernels
+#: Encoded keys must stay below this for the fused hash kernels
 #: (see :func:`repro.hashing.families.cw_fold_columns`).
 _KERNEL_KEY_LIMIT = 1 << 31
 
@@ -241,21 +241,23 @@ class CountMinSketch(FrequencySketch):
 
     def estimate_batch(self, keys) -> list[int]:
         """Vectorised point queries."""
+        return self._estimate_array(keys).tolist()
+
+    def _estimate_array(self, keys) -> np.ndarray:
+        """:meth:`estimate_batch` as an int64 array."""
         encoded = encode_key_array(keys)
         n = encoded.shape[0]
         if n == 0:
-            return []
+            return np.empty(0, dtype=np.int64)
         self.ops.hash_evals += self.num_hashes * n
         self.ops.sketch_cell_reads += self.num_hashes * n
         if self._kernel_ready(encoded):
             assert self._cw_params is not None
             a_hi, a_lo, b_mod = self._cw_params
-            estimates = active_backend().cm_estimate(
+            return active_backend().cm_estimate(
                 self._table, a_hi, a_lo, b_mod, encoded
             )
-        else:
-            estimates = self._row_minimum(encoded)
-        return estimates.tolist()
+        return self._row_minimum(encoded)
 
     def _row_minimum(
         self, encoded: np.ndarray, amounts: np.ndarray | None = None
@@ -269,7 +271,7 @@ class CountMinSketch(FrequencySketch):
             columns = family.hash_array(encoded)
             if amounts is not None:
                 np.add.at(self._table[row], columns, amounts)
-            np.minimum(estimates, self._table[row, columns], out=estimates)
+            np.minimum(estimates, self._table[row].take(columns), out=estimates)
         return estimates
 
     def _kernel_ready(self, encoded: np.ndarray) -> bool:

@@ -21,6 +21,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.core import staged
 from repro.core.asketch import ASketch
 from repro.core.filters import make_filter
 from repro.errors import ConfigurationError, NegativeCountError
@@ -344,6 +345,73 @@ class TestHashOnce:
         assert asketch.miss_events > misses_before  # misses reached the sketch
         assert len(calls) == asketch.sketch.num_hashes
         assert len(set(calls)) == 1  # every call folds the same missed keys
+
+
+def _unique_pre_aggregate(keys, counts):
+    """The ``np.unique`` pre-aggregation ``_pre_aggregate`` replaces."""
+    uniq, first_pos, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    totals = np.zeros(uniq.shape[0], dtype=np.int64)
+    np.add.at(totals, inverse, counts)
+    return uniq, totals, np.argsort(first_pos), inverse.reshape(-1)
+
+
+def _chunk(name: str):
+    rng = np.random.default_rng(21)
+    if name == "weighted":
+        keys = rng.integers(0, 50, size=600)
+        return keys, rng.integers(0, 1_000, size=600)
+    if name == "one-tuple":
+        return np.array([7]), np.array([3])
+    if name == "one-key":
+        return np.full(40, 7), rng.integers(0, 9, size=40)
+    if name == "all-distinct":
+        keys = rng.permutation(5_000)[:2_000]
+        return keys, np.ones(2_000)
+    if name == "negative":
+        keys = np.concatenate([
+            rng.integers(-60, 60, size=500), [-(2**40), 2**40, -(2**40)],
+        ])
+        return keys, rng.integers(1, 5, size=keys.shape[0])
+    raise AssertionError(name)
+
+
+PRE_AGGREGATION_CHUNKS = [
+    "weighted", "one-tuple", "one-key", "all-distinct", "negative",
+]
+
+
+class TestPreAggregation:
+    """Chunk pre-aggregation gives exactly what ``np.unique`` with a
+    stable sort gives: the distinct keys, their totals, the
+    first-appearance order and each tuple's index."""
+
+    @pytest.mark.parametrize("name", PRE_AGGREGATION_CHUNKS)
+    def test_matches_unique_reference(self, name):
+        keys, counts = (np.asarray(a, dtype=np.int64) for a in _chunk(name))
+        got = staged._pre_aggregate(keys, counts)
+        expected = _unique_pre_aggregate(keys, counts)
+        for part, reference in zip(got, expected):
+            assert part.tolist() == reference.tolist()
+
+    @pytest.mark.parametrize("name", PRE_AGGREGATION_CHUNKS)
+    def test_ingest_matches_unique_reference(self, name, monkeypatch):
+        keys, counts = (np.asarray(a, dtype=np.int64) for a in _chunk(name))
+        # -1 would be stored as the array filters' empty-slot id.
+        keep = keys != -1
+        keys, counts = keys[keep], counts[keep]
+        actual, expected = build_pair("relaxed-heap", filter_items=8)
+        for synopsis in (actual, expected):
+            synopsis.record_misses()
+        for _ in range(3):
+            actual.process_batch(keys, counts)
+        monkeypatch.setattr(staged, "_pre_aggregate", _unique_pre_aggregate)
+        for _ in range(3):
+            expected.process_batch(keys, counts)
+        assert_identical(expected, actual, keys.tolist())
+        assert expected.miss_trace().tolist() == actual.miss_trace().tolist()
+        assert expected.combined_ops() == actual.combined_ops()
 
 
 class TestFilterBulkApi:

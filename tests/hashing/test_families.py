@@ -12,7 +12,11 @@ from repro.hashing import (
     SignHash,
     make_hash_family,
 )
-from repro.hashing.families import MERSENNE_PRIME_61, key_to_int
+from repro.hashing.families import (
+    MERSENNE_PRIME_61,
+    cw_fold_columns,
+    key_to_int,
+)
 
 ALL_FAMILIES = ["carter-wegman", "tabulation"]
 
@@ -102,6 +106,37 @@ class TestVectorisedAgreement:
         vectorised = family.hash_array(keys)
         scalar = np.array([family(int(k)) for k in keys])
         np.testing.assert_array_equal(vectorised, scalar)
+
+    def test_carter_wegman_negative_and_far_keys(self):
+        # The fold serves only keys in [0, 2**31); everything else must
+        # take the exact path, including small negative keys (whose
+        # uint64 view is not the key) and keys far below -2**31 (whose
+        # int64 products would overflow).
+        family = CarterWegmanHash(4084, seed=3)
+        keys = [
+            -1, -5, -(2**31) + 1, -(2**31), -(2**31) - 1, -(2**40),
+            -(2**62), 2**31, 2**40, 2**62, 0, 2**31 - 1,
+        ]
+        for batch in ([k] for k in keys):
+            assert family.hash_array(np.array(batch)).tolist() == [
+                family(k) for k in batch
+            ]
+        np.testing.assert_array_equal(
+            family.hash_array(np.array(keys, dtype=np.int64)),
+            np.array([family(k) for k in keys]),
+        )
+
+    @pytest.mark.parametrize("width", [1, 2, 1012, 4084, 2**30])
+    def test_fold_at_its_bounds_matches_big_int(self, width):
+        # a = b = p - 1 and the largest key put the unreduced uint64
+        # sum at its maximum; Python ints are the exact reference.
+        a = b = MERSENNE_PRIME_61 - 1
+        keys = np.array([0, 1, 2**31 - 1], dtype=np.int64)
+        folded = cw_fold_columns(a >> 31, a & (2**31 - 1), b, keys, width)
+        assert folded.dtype == np.int64
+        assert folded.tolist() == [
+            ((a * x + b) % MERSENNE_PRIME_61) % width for x in keys.tolist()
+        ]
 
     def test_multiply_shift_array_matches_scalar(self, rng):
         family = MultiplyShiftHash(1 << 12, seed=8)

@@ -77,6 +77,53 @@ class TestMembershipProbe:
                 reference.membership_probe(ids, keys),
             )
 
+    # The numpy backend screens keys with a bitmap of the residents'
+    # low bits (at most 2**20 entries) before its binary search; these
+    # pin the screen against the loop reference and a dict of slots.
+
+    @staticmethod
+    def _expected(ids: np.ndarray, keys: np.ndarray) -> list[int]:
+        slot_of = {int(v) - 1: slot for slot, v in enumerate(ids.tolist()) if v}
+        return [slot_of.get(k, -1) if k >= 0 else -1 for k in keys.tolist()]
+
+    def test_keys_sharing_residents_low_bits(self, backend):
+        stored = np.array([0, 3, 1000, 2**20 + 7, 2**40], dtype=np.int64)
+        ids = np.concatenate([stored + 1, np.zeros(3, dtype=np.int64)])
+        shifts = np.array(
+            [0, 1 << 10, 1 << 14, 1 << 20, 1 << 33, -(1 << 20)],
+            dtype=np.int64,
+        )
+        keys = (stored[:, None] + shifts[None, :]).ravel()
+        slots = backend.membership_probe(ids, keys)
+        assert slots.tolist() == self._expected(ids, keys)
+        assert np.array_equal(slots, PythonBackend().membership_probe(ids, keys))
+
+    @pytest.mark.parametrize("capacity", [129, 200, 513])
+    def test_filters_above_128_slots(self, backend, capacity):
+        rng = np.random.default_rng(capacity)
+        monitored = rng.choice(np.arange(20_000), size=capacity, replace=False)
+        ids = np.zeros(capacity, dtype=np.int64)
+        ids[: capacity - 3] = monitored[: capacity - 3] + 1
+        keys = np.concatenate([
+            monitored,
+            monitored[:50] + (1 << 14),
+            rng.integers(0, 40_000, size=200),
+        ]).astype(np.int64)
+        slots = backend.membership_probe(ids, keys)
+        assert slots.tolist() == self._expected(ids, keys)
+        assert np.array_equal(slots, PythonBackend().membership_probe(ids, keys))
+
+    def test_duplicate_and_negative_keys(self, backend):
+        ids = np.array([6, 0, 3, 1, 2**14 + 3], dtype=np.int64)
+        keys = np.array(
+            [5, 5, -5, 2, -1, 0, 0, -(2**14) + 2, 2**14 + 2, 2**14 + 2, -3,
+             -(2**40), 2],
+            dtype=np.int64,
+        )
+        slots = backend.membership_probe(ids, keys)
+        assert slots.tolist() == [0, 0, -1, 2, -1, 3, 3, -1, 4, 4, -1, -1, 2]
+        assert np.array_equal(slots, PythonBackend().membership_probe(ids, keys))
+
 
 def _cw_params(num_rows: int, width: int, seed: int):
     hashes = [CarterWegmanHash(width, seed * 1_000_003 + r) for r in range(num_rows)]
@@ -143,7 +190,7 @@ class TestCountMinKernels:
 
     def test_fold_matches_scalar_hash(self):
         # The shared folding equals the scalar ((a*x + b) % p) % h for
-        # every backend-eligible key — the identity the int64 Mersenne
+        # every backend-eligible key — the identity the Mersenne
         # reduction argument rests on.
         family = CarterWegmanHash(101, seed=42)
         a_hi, a_lo, b_mod = family.kernel_params
